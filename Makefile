@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke fuzz fuzz-store fuzz-wal bench bench-short
+.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke fuzz fuzz-store fuzz-wal bench bench-short perfbench-test
 
-check: vet staticcheck build race lint-metrics chaos chaos-shard crash explain-smoke
+check: vet staticcheck build race lint-metrics chaos chaos-shard crash explain-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -92,6 +92,12 @@ bench:
 	BENCH_OBS_OUT=BENCH_obs.json $(GO) test -run '^TestWriteBenchObs$$' -count=1 -v .
 	BENCH_PERF_OUT=BENCH_perf.json $(GO) test -run '^TestWriteBenchPerf$$' -count=1 -v .
 	BENCH_TRACE_GATE=1 $(GO) test -run '^TestTracePropagationOverhead$$' -count=1 -v .
+
+# The end-to-end benchmark's own tests (perfbench/ is a module of its own,
+# outside ./...): seeded corpora and streams, the open-loop timing rule, and
+# BENCHMARK.json agreeing with the program's metric names.
+perfbench-test:
+	cd perfbench && GOFLAGS=-mod=mod $(GO) test ./...
 
 # Fast allocation-aware bench smoke (CI): every benchmark once at reduced
 # short-mode sizes, with allocs/op visible, plus the trace-propagation gate

@@ -90,7 +90,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain bound before stragglers are cancelled")
 	retries := flag.Int("retries", 3, "total attempts per video for transient failures (1 disables retries)")
 	breakerOpenFor := flag.Duration("breaker-open", time.Second, "cool-down before an open per-video breaker probes again")
-	resultCache := flag.Int("result-cache", 1024, "query results cached per store snapshot (0 disables; invalidated atomically on reload)")
+	resultCache := flag.Int("result-cache", 1024, "non-empty per-video result lists cached per store snapshot (0 disables; invalidated atomically on reload)")
 	resultCacheTTL := flag.Duration("result-cache-ttl", time.Minute, "age limit on cached query results (0 = no expiry)")
 	shards := flag.String("shards", "", "comma-separated shard base URLs; non-empty switches to scatter-gather coordinator mode (no local store)")
 	minShards := flag.Int("min-shards", 1, "coordinator quorum: shards that must answer for a query to succeed")

@@ -1,6 +1,6 @@
 // Package cache provides a small, typed LRU cache with optional TTL
-// expiry — the building block behind the store's plan cache and result
-// cache. It is generic, so cached values are never boxed through `any`,
+// expiry and optional per-entry weights — the building block behind the
+// store's plan cache and result cache. It is generic, so cached values are never boxed through `any`,
 // and hand-rolls its doubly-linked recency list instead of using
 // container/list (whose Element.Value is an interface and would allocate
 // per node on every insert).
@@ -17,14 +17,19 @@ type entry[K comparable, V any] struct {
 	key        K
 	val        V
 	expires    time.Time // zero when the cache has no TTL
+	weight     int
 	prev, next *entry[K, V]
 }
 
 // LRU is a fixed-capacity least-recently-used cache with optional TTL.
-// All methods are safe for concurrent use.
+// Capacity bounds the total weight of the cached entries; every entry
+// weighs 1 unless a weigher is installed (SetWeigher). All methods are safe
+// for concurrent use.
 type LRU[K comparable, V any] struct {
 	mu         sync.Mutex
 	capacity   int
+	weight     int // total weight of the cached entries
+	weigh      func(K, V) int
 	ttl        time.Duration
 	now        func() time.Time
 	items      map[K]*entry[K, V]
@@ -32,8 +37,8 @@ type LRU[K comparable, V any] struct {
 	onEvict    func(K, V)
 }
 
-// New builds an LRU holding at most capacity entries (capacity < 1 is
-// treated as 1). ttl == 0 disables expiry.
+// New builds an LRU holding at most capacity entries, or at most capacity
+// total weight under a weigher (capacity < 1 is treated as 1). ttl == 0 disables expiry.
 func New[K comparable, V any](capacity int, ttl time.Duration) *LRU[K, V] {
 	if capacity < 1 {
 		capacity = 1
@@ -62,6 +67,15 @@ func (c *LRU[K, V]) SetOnEvict(fn func(K, V)) {
 	c.mu.Unlock()
 }
 
+// SetWeigher installs the entry weight function; install it before the
+// first Add. Weights below 1 count as 1. An entry heavier than the whole
+// capacity is evicted on insert, so the total never exceeds capacity.
+func (c *LRU[K, V]) SetWeigher(fn func(K, V) int) {
+	c.mu.Lock()
+	c.weigh = fn
+	c.mu.Unlock()
+}
+
 // Get returns the live value for key and marks it most recently used.
 // Expired entries are evicted and report a miss.
 func (c *LRU[K, V]) Get(key K) (V, bool) {
@@ -82,7 +96,7 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 }
 
 // Add inserts or replaces key's value, marks it most recently used, and
-// evicts the least recently used entry when over capacity.
+// evicts least recently used entries while over capacity.
 func (c *LRU[K, V]) Add(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,15 +104,22 @@ func (c *LRU[K, V]) Add(key K, val V) {
 	if c.ttl > 0 {
 		expires = c.now().Add(c.ttl)
 	}
-	if e, ok := c.items[key]; ok {
-		e.val, e.expires = val, expires
-		c.moveToFront(e)
-		return
+	w := 1
+	if c.weigh != nil {
+		w = max(c.weigh(key, val), 1)
 	}
-	e := &entry[K, V]{key: key, val: val, expires: expires}
-	c.items[key] = e
-	c.pushFront(e)
-	for len(c.items) > c.capacity {
+	e, ok := c.items[key]
+	if ok {
+		c.weight -= e.weight
+		e.val, e.expires, e.weight = val, expires, w
+		c.moveToFront(e)
+	} else {
+		e = &entry[K, V]{key: key, val: val, expires: expires, weight: w}
+		c.items[key] = e
+		c.pushFront(e)
+	}
+	c.weight += w
+	for c.weight > c.capacity {
 		c.evict(c.tail)
 	}
 }
@@ -110,6 +131,7 @@ func (c *LRU[K, V]) Remove(key K) {
 	if e, ok := c.items[key]; ok {
 		c.unlink(e)
 		delete(c.items, key)
+		c.weight -= e.weight
 	}
 }
 
@@ -119,6 +141,7 @@ func (c *LRU[K, V]) Purge() {
 	defer c.mu.Unlock()
 	clear(c.items)
 	c.head, c.tail = nil, nil
+	c.weight = 0
 }
 
 // Len returns the current number of entries, including any not yet
@@ -129,6 +152,14 @@ func (c *LRU[K, V]) Len() int {
 	return len(c.items)
 }
 
+// Weight returns the total weight of the current entries (their number
+// when no weigher is installed).
+func (c *LRU[K, V]) Weight() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.weight
+}
+
 func (c *LRU[K, V]) expired(e *entry[K, V]) bool {
 	return !e.expires.IsZero() && c.now().After(e.expires)
 }
@@ -136,6 +167,7 @@ func (c *LRU[K, V]) expired(e *entry[K, V]) bool {
 func (c *LRU[K, V]) evict(e *entry[K, V]) {
 	c.unlink(e)
 	delete(c.items, e.key)
+	c.weight -= e.weight
 	if c.onEvict != nil {
 		c.onEvict(e.key, e.val)
 	}

@@ -114,6 +114,64 @@ func TestLRUZeroCapacity(t *testing.T) {
 	}
 }
 
+// TestLRUWeigher: under a weigher the capacity bounds the total weight,
+// never exceeded after any Add, and replace, Remove, Purge and eviction all
+// keep the running total equal to the sum of the live entries' weights.
+func TestLRUWeigher(t *testing.T) {
+	const capacity = 10
+	c := New[int, int](capacity, 0)
+	c.SetWeigher(func(_ int, v int) int { return v })
+	var evicted []int
+	live := map[int]int{}
+	c.SetOnEvict(func(k, _ int) { evicted = append(evicted, k); delete(live, k) })
+	check := func(step string) {
+		t.Helper()
+		sum := 0
+		for _, w := range live {
+			sum += max(w, 1)
+		}
+		if got := c.Weight(); got != sum || got > capacity {
+			t.Fatalf("%s: Weight = %d, want %d (capacity %d)", step, got, sum, capacity)
+		}
+		if c.Len() != len(live) {
+			t.Fatalf("%s: Len = %d, want %d", step, c.Len(), len(live))
+		}
+	}
+	add := func(k, w int) {
+		live[k] = w
+		c.Add(k, w)
+	}
+
+	add(1, 4)
+	add(2, 3)
+	add(3, 0) // weights below 1 count as 1
+	check("fill")
+	add(4, 3) // 4+3+1+3 = 11 > 10: key 1, the least recently used, goes
+	check("evict")
+	if len(evicted) != 1 || evicted[0] != 1 {
+		t.Fatalf("evicted %v, want [1]", evicted)
+	}
+	add(2, 6) // replace grows key 2: 6+1+3 = 10 fits exactly
+	check("replace up")
+	add(2, 1) // and shrinks it again
+	check("replace down")
+	c.Remove(3)
+	delete(live, 3)
+	check("remove")
+	add(5, 11) // heavier than the whole capacity: cannot stay
+	check("oversize")
+	if _, ok := c.Get(5); ok {
+		t.Fatal("an entry heavier than the capacity stayed cached")
+	}
+	for k := 10; k < 40; k++ {
+		add(k, k%4)
+		check(fmt.Sprintf("churn %d", k))
+	}
+	c.Purge()
+	clear(live)
+	check("purge")
+}
+
 func BenchmarkLRUGetHit(b *testing.B) {
 	c := New[string, int](256, 0)
 	keys := make([]string, 256)

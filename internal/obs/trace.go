@@ -156,7 +156,7 @@ func (t *Trace) Duration() time.Duration {
 type Span struct {
 	t        *Trace
 	name     string
-	tags     map[string]string
+	tags     []spanTag // few per span: far lighter than a map in retained traces
 	start    time.Time
 	offset   time.Duration // from the trace's begin
 	dur      time.Duration
@@ -187,12 +187,18 @@ func (s *Span) SetTag(k, v string) {
 		return
 	}
 	s.t.mu.Lock()
-	if s.tags == nil {
-		s.tags = map[string]string{}
+	defer s.t.mu.Unlock()
+	for i := range s.tags {
+		if s.tags[i].k == k {
+			s.tags[i].v = v
+			return
+		}
 	}
-	s.tags[k] = v
-	s.t.mu.Unlock()
+	s.tags = append(s.tags, spanTag{k, v})
 }
+
+// spanTag is one span tag.
+type spanTag struct{ k, v string }
 
 // AttachRemote stitches span subtrees recorded by another process under this
 // span: a coordinator attaches each shard's returned span tree under that
@@ -261,7 +267,13 @@ func (t *Trace) Snapshot() TraceSnapshot {
 func (t *Trace) Spans() []SpanSnapshot { return t.Snapshot().Spans }
 
 func (s *Span) snapshotLocked() SpanSnapshot {
-	out := SpanSnapshot{Name: s.name, Tags: copyTags(s.tags), Offset: s.offset, Duration: s.dur}
+	out := SpanSnapshot{Name: s.name, Offset: s.offset, Duration: s.dur}
+	if len(s.tags) > 0 {
+		out.Tags = make(map[string]string, len(s.tags))
+		for _, tg := range s.tags {
+			out.Tags[tg.k] = tg.v
+		}
+	}
 	if !s.ended {
 		out.Duration = time.Since(s.start)
 	}

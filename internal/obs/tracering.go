@@ -128,8 +128,8 @@ func (r *TraceRing) List() []TraceSummary {
 }
 
 // Get returns the retained trace with the given id. Distributed traces share
-// one id across processes (and a shard's per-video queries share the
-// coordinator's); Get returns the most recent fragment under that id.
+// one id across processes (and a shard's store query and request trace share
+// the coordinator's); Get returns the most recent fragment under that id.
 func (r *TraceRing) Get(id string) (TraceSnapshot, bool) {
 	for _, e := range r.snapshotEntries() {
 		if e.t.ID() == id {

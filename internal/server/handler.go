@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -244,9 +243,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 }
 
 // handleQuery evaluates one HTL query under admission control: parse the
-// parameters and the formula, then fan the store's videos out over a bounded
-// pool where each video runs behind its circuit breaker with transient-error
-// retries, and merge whatever survived into a ranked partial result.
+// parameters and the formula, then run one store query whose worker pool
+// evaluates each video behind its circuit breaker with transient-error
+// retries, and rank whatever survived into a partial result.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
 	if st == nil {
@@ -489,27 +488,20 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 	return p, http.StatusOK, nil
 }
 
-// evaluate fans the eligible videos out over the per-request pool: each
-// video passes its circuit breaker, runs with transient-error retries, and
-// reports its outcome back to the breaker. The merge mirrors the store's
-// partial-result semantics at the serving layer — a failing or tripped
-// video costs its own results only.
+// evaluate runs the request as one store query. The store's worker pool
+// evaluates the videos (s.cfg.parallelism at a time) and calls the guard
+// around each: the video passes its circuit breaker, runs with
+// transient-error retries, and reports its outcome back to the breaker. A
+// failing or tripped video costs its own results only: the store returns it
+// in Results.Errors, which map to the response's skipped and failed lists.
 func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams) *QueryResponse {
-	out := &QueryResponse{Class: fmt.Sprint(htlvideo.Classify(p.Formula))}
-	var eligible []int
-	for _, v := range st.Videos() {
-		if len(v.Sequence(p.Level)) == 0 {
-			continue
-		}
-		eligible = append(eligible, v.ID)
-	}
-	out.Videos = len(eligible)
+	out := &QueryResponse{Class: fmt.Sprint(htlvideo.Classify(p.Formula)), TraceID: p.TraceID}
 
-	// Trace context: an inbound X-Htl-Trace alone joins every per-video store
-	// trace into the caller's id (they surface in this process's slow log and
+	// Trace context: an inbound X-Htl-Trace alone joins the store's query
+	// trace into the caller's id (it surfaces in this process's slow log and
 	// trace ring under it); ?trace=1 additionally builds a request-level span
 	// tree — one span per video, each attempt a child carrying the store's
-	// own spans — returned in the envelope for the caller to stitch.
+	// own per-video spans — returned in the envelope for the caller to stitch.
 	var tr *obs.Trace
 	var evalSpan *obs.Span
 	if p.Trace {
@@ -517,15 +509,56 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		tr.SetID(p.TraceID)
 		tr.SetTag("layer", "server")
 		tr.SetTag("class", out.Class)
-		tr.SetTag("videos", strconv.Itoa(out.Videos))
 		evalSpan = tr.StartSpan("evaluate")
 	}
-	out.TraceID = p.TraceID
 
+	var retries atomic.Int64
+	guard := func(ctx context.Context, id int, eval func(context.Context) error) error {
+		key := int64(id)
+		vsp := evalSpan.StartSpan("video")
+		vsp.SetTag("video", strconv.Itoa(id))
+		defer vsp.End()
+		if !s.breaker.Allow(key) {
+			s.m.brSkipped.Inc()
+			vsp.SetTag("skipped", "breaker open")
+			return htlvideo.ErrVideoSkipped
+		}
+		attempt := 0
+		err := s.retry.Do(ctx, func() error {
+			if attempt++; attempt > 1 {
+				retries.Add(1)
+			}
+			// Untraced, asp is nil and eval keeps the store's own video span.
+			asp := vsp.StartSpan("attempt")
+			asp.SetTag("attempt", strconv.Itoa(attempt))
+			e := eval(obs.ContextWithSpan(ctx, asp))
+			if e != nil {
+				asp.SetTag("outcome", truncate(e.Error(), 120))
+			} else {
+				asp.SetTag("outcome", "ok")
+			}
+			asp.End()
+			return e
+		}, IsTransient)
+		switch {
+		case err == nil:
+			s.breaker.Report(key, false)
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			// The request's own deadline died, which says nothing about
+			// the video's health.
+			s.breaker.Cancel(key)
+		default:
+			s.breaker.Report(key, true)
+		}
+		return err
+	}
 	opts := []htlvideo.QueryOption{
 		htlvideo.AtLevel(p.Level),
 		htlvideo.WithUntilThreshold(p.Tau),
 		htlvideo.WithEngine(p.Engine),
+		htlvideo.WithPartialResults(),
+		htlvideo.WithParallelism(s.cfg.parallelism),
+		htlvideo.WithVideoGuard(guard),
 	}
 	if p.AtRoot {
 		opts = append(opts, htlvideo.AtRoot())
@@ -533,113 +566,31 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	if p.TraceID != "" {
 		opts = append(opts, htlvideo.WithTraceID(p.TraceID))
 	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		lists    = map[int]htlvideo.SimList{}
-		attempts atomic.Int64
-		sem      = make(chan struct{}, s.cfg.parallelism)
-	)
-	for _, id := range eligible {
-		id := id
-		if !s.breaker.Allow(int64(id)) {
-			s.m.brSkipped.Inc()
-			out.Skipped = append(out.Skipped, SkipDoc{Video: id, Reason: "breaker open"})
-			if evalSpan != nil {
-				sp := evalSpan.StartSpan("video")
-				sp.SetTag("video", strconv.Itoa(id))
-				sp.SetTag("skipped", "breaker open")
-				sp.End()
-			}
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var vsp *obs.Span
-			if evalSpan != nil {
-				vsp = evalSpan.StartSpan("video")
-				vsp.SetTag("video", strconv.Itoa(id))
-				defer vsp.End()
-			}
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				// Never attempted: release the breaker reservation.
-				s.breaker.Cancel(int64(id))
-				vsp.SetTag("outcome", "deadline before start")
-				mu.Lock()
-				out.Failed = append(out.Failed, FailDoc{Video: id, Error: ctx.Err().Error(), Timeout: true})
-				mu.Unlock()
-				return
-			}
-			var list htlvideo.SimList
-			attempt := 0
-			err := s.retry.Do(ctx, func() error {
-				attempts.Add(1)
-				attempt++
-				// Copy: concurrent per-video goroutines must not share the
-				// base slice's backing array through append.
-				vopts := make([]htlvideo.QueryOption, 0, len(opts)+2)
-				vopts = append(vopts, opts...)
-				vopts = append(vopts, htlvideo.OnVideo(id))
-				var asp *obs.Span
-				var col *obs.TraceCollector
-				if vsp != nil {
-					asp = vsp.StartSpan("attempt")
-					asp.SetTag("attempt", strconv.Itoa(attempt))
-					col = &obs.TraceCollector{}
-					vopts = append(vopts, htlvideo.WithTrace(col))
-				}
-				res, e := st.QueryFormulaCtx(ctx, p.Formula, vopts...)
-				if asp != nil {
-					if e != nil {
-						asp.SetTag("outcome", truncate(e.Error(), 120))
-					} else {
-						asp.SetTag("outcome", "ok")
-					}
-					if last := col.Last(); last != nil {
-						// The store's own spans (build/eval/merge) become this
-						// attempt's subtree, same as a shard's remote spans.
-						asp.AttachRemote(last.Snapshot().Spans)
-					}
-					asp.End()
-				}
-				if e != nil {
-					return e
-				}
-				list = res.PerVideo[id]
-				return nil
-			}, IsTransient)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				s.breaker.Report(int64(id), false)
-				lists[id] = list
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				// The request's own deadline died, which says nothing about
-				// the video's health.
-				s.breaker.Cancel(int64(id))
-				out.Failed = append(out.Failed, FailDoc{Video: id, Error: err.Error(), Timeout: true})
-			default:
-				s.breaker.Report(int64(id), true)
-				out.Failed = append(out.Failed, FailDoc{Video: id, Error: truncate(err.Error(), 300)})
-			}
-		}()
-	}
-	wg.Wait()
+	res, err := st.QueryFormulaCtx(ctx, p.Formula, opts...)
 	evalSpan.End()
-
-	out.Evaluated = len(lists)
-	out.Retries = attempts.Load() - int64(out.Evaluated+len(out.Failed))
-	if out.Retries < 0 {
-		out.Retries = 0
+	if err != nil {
+		// A guarded partial query fails whole only on a store with no videos
+		// (an empty answer) or when the deadline expired while it waited on
+		// an identical in-flight query (nothing evaluated: 504).
+		res = &htlvideo.Results{}
 	}
+	out.Evaluated = len(res.PerVideo)
+	out.Videos = out.Evaluated + len(res.Errors)
+	out.Retries = retries.Load()
+	for _, e := range res.Errors {
+		var ve *htlvideo.VideoError
+		errors.As(e, &ve)
+		switch {
+		case errors.Is(e, htlvideo.ErrVideoSkipped):
+			out.Skipped = append(out.Skipped, SkipDoc{Video: ve.VideoID, Reason: "breaker open"})
+		case errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded):
+			out.Failed = append(out.Failed, FailDoc{Video: ve.VideoID, Error: e.Error(), Timeout: true})
+		default:
+			out.Failed = append(out.Failed, FailDoc{Video: ve.VideoID, Error: truncate(e.Error(), 300)})
+		}
+	}
+
 	mergeSpan := tr.StartSpan("merge")
-	res := st.NewResults(lists)
 	for _, rk := range res.TopKCtx(ctx, p.K) {
 		out.Top = append(out.Top, RankedDoc{
 			Video: rk.VideoID, Beg: rk.Iv.Beg, End: rk.Iv.End,
@@ -648,13 +599,15 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	}
 	mergeSpan.End()
 	if tr != nil {
+		tr.SetTag("videos", strconv.Itoa(out.Videos))
 		tr.SetTag("evaluated", strconv.Itoa(out.Evaluated))
 		tr.Finish()
 		out.TraceID = tr.ID()
 		snap := tr.Snapshot()
 		out.Trace = &snap
-		// The request-level trace is retained alongside the per-video store
-		// traces, so /debug/traces on this process shows the stitched view.
+		// The request-level trace is retained alongside the store's own
+		// query trace, so /debug/traces on this process shows the stitched
+		// view.
 		st.TraceRing().ObserveTrace(tr)
 	}
 	return out

@@ -10,7 +10,9 @@
 //     ?timeout=, propagated through the store's QueryCtx path;
 //   - a per-video circuit breaker — repeatedly failing videos are skipped
 //     (reported in partial results) instead of stalling every query, and
-//     probed again after a cool-down;
+//     probed again after a cool-down; it and the retry below wrap each
+//     video's evaluation inside the store's worker pool (the guard hook,
+//     htlvideo.WithVideoGuard), so a request is one store query;
 //   - retry with exponential backoff and full jitter — only for transient
 //     errors (picture-system build failures, injected faults, contained
 //     panics), never for parse or validation errors;
@@ -55,7 +57,7 @@ type config struct {
 	maxTimeout     time.Duration
 	// drainTimeout bounds graceful shutdown before stragglers are cancelled.
 	drainTimeout time.Duration
-	// parallelism bounds one request's concurrent per-video evaluations.
+	// parallelism bounds the store's worker pool for each request.
 	parallelism int
 	// resultCache, when Capacity > 0, enables the store's result cache and
 	// is re-applied to every reloaded store.
@@ -90,8 +92,8 @@ func WithMaxTimeout(d time.Duration) Option { return func(c *config) { c.maxTime
 // cancelled and the listener closed.
 func WithDrainTimeout(d time.Duration) Option { return func(c *config) { c.drainTimeout = d } }
 
-// WithParallelism bounds one request's concurrent per-video evaluations
-// (default GOMAXPROCS).
+// WithParallelism bounds the store's worker pool for each request: the
+// number of videos one request evaluates concurrently (default GOMAXPROCS).
 func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithResultCache enables the store's query-result cache (see

@@ -33,7 +33,6 @@ import (
 	"htlvideo/internal/obs"
 	"htlvideo/internal/obs/timeseries"
 	"htlvideo/internal/resilience"
-	"htlvideo/internal/ring"
 )
 
 // Coordinator fans queries out to shard servers and merges their rankings.
@@ -45,7 +44,6 @@ type Coordinator struct {
 	retry   *resilience.Retrier
 
 	mu      sync.RWMutex
-	ring    *ring.Ring
 	members map[string]*member
 	nextOrd int64
 
@@ -200,7 +198,6 @@ func NewNamed(shards map[string]string, opts ...Option) *Coordinator {
 	c := &Coordinator{
 		cfg:     cfg,
 		client:  cfg.clientOverride,
-		ring:    ring.New(nil, 0),
 		members: map[string]*member{},
 		reg:     obs.NewRegistry(),
 		slow:    obs.NewSlowLog(obs.DefaultSlowLogSize),
@@ -287,7 +284,7 @@ func (c *Coordinator) nameOfOrd(ord int64) string {
 	return fmt.Sprintf("ord-%d", ord)
 }
 
-// AddShard joins a shard to the ring (replacing the URL if the name already
+// AddShard joins a shard to the membership (replacing the URL if the name already
 // exists) and reports whether membership changed.
 func (c *Coordinator) AddShard(name, url string) bool {
 	c.mu.Lock()
@@ -298,12 +295,11 @@ func (c *Coordinator) AddShard(name, url string) bool {
 	}
 	c.nextOrd++
 	c.members[name] = &member{name: name, url: url, ord: c.nextOrd}
-	c.ring.Add(name)
 	c.cfg.logf("shard: joined %s (%s)", name, url)
 	return true
 }
 
-// RemoveShard leaves a shard from the ring and reports whether it was a
+// RemoveShard removes a shard from the membership and reports whether it was a
 // member. Queries in flight finish their calls; new queries no longer fan
 // out to it.
 func (c *Coordinator) RemoveShard(name string) bool {
@@ -313,7 +309,6 @@ func (c *Coordinator) RemoveShard(name string) bool {
 		return false
 	}
 	delete(c.members, name)
-	c.ring.Remove(name)
 	c.cfg.logf("shard: left %s", name)
 	return true
 }

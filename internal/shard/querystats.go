@@ -3,11 +3,12 @@ package shard
 // Fleet-wide workload analytics: the coordinator's /debug/queries fans out to
 // every member's own /debug/queries and merges the per-plan-key aggregates
 // bucketwise (querystats.Merge), so an operator sees one pg_stat_statements
-// view of the whole partitioned store. Because shards hold disjoint video
-// partitions and every shard compiles the same canonical formula text, the
-// merged per-plan-key call counts equal what a single unsharded store would
-// have recorded for the same workload: the serving layer runs one store
-// query per video, and each video lives on exactly one shard.
+// view of the whole partitioned store. Every shard compiles the same
+// canonical formula text and the serving layer runs one store query per
+// request, so each plan key's merged call count is the shard count times
+// the requests the coordinator scattered (without hedges). Shards hold
+// disjoint video partitions, so the merged videos evaluated equal what a
+// single unsharded store would have recorded for the same workload.
 
 import (
 	"context"

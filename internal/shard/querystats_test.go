@@ -12,9 +12,11 @@ import (
 // TestQueryStatsMergeMatchesUnsharded replays the same workload through a
 // three-shard coordinator and an unsharded server, then checks the
 // coordinator's merged /debug/queries against the single store's. The serving
-// layer runs one store query per video and each video lives on exactly one
-// shard, so the merged per-plan-key call counts (and videos evaluated, and
-// latency-histogram populations) must equal the unsharded store's exactly.
+// layer runs one store query per HTTP request, so the unsharded server
+// records exactly N calls per plan key for N requests, and the coordinator —
+// which sends every request to every shard — merges exactly nShards × N
+// calls (and latency-histogram populations). Each video lives on exactly one
+// shard, so the merged videos evaluated must equal the unsharded store's.
 // Hedging is off so no shard is ever queried twice; k is larger than the
 // corpus so top-k early termination never skips a video.
 func TestQueryStatsMergeMatchesUnsharded(t *testing.T) {
@@ -33,6 +35,8 @@ func TestQueryStatsMergeMatchesUnsharded(t *testing.T) {
 	single := httptest.NewServer(server.New(full, server.WithRandSeed(1)).Handler())
 	defer single.Close()
 
+	// Requests per plan key: whitespace variants fold into one key.
+	requests := map[string]uint64{"M1": 3, "M1 until M2": 3, "eventually M2": 1}
 	workload := []string{
 		"q=M1&k=100", "q=M1&k=100", "q=M1&k=100",
 		"q=M1+until+M2&k=100", "q=M1+until+M2&k=100",
@@ -70,8 +74,22 @@ func TestQueryStatsMergeMatchesUnsharded(t *testing.T) {
 	for _, e := range want.Entries {
 		wantByKey[e.PlanKey] = e
 	}
-	if len(wantByKey) != 3 {
-		t.Fatalf("unsharded plan keys = %d, want 3 (whitespace variants must fold)", len(wantByKey))
+	if len(wantByKey) != len(requests) {
+		t.Fatalf("unsharded plan keys = %d, want %d (whitespace variants must fold)", len(wantByKey), len(requests))
+	}
+	var total uint64
+	for key, we := range wantByKey {
+		n, ok := requests[key]
+		if !ok {
+			t.Fatalf("unexpected unsharded plan key %q", key)
+		}
+		if we.Calls != n {
+			t.Fatalf("%q: unsharded calls = %d, want one per request (%d)", key, we.Calls, n)
+		}
+		total += n
+	}
+	if want.Totals.Calls != total {
+		t.Fatalf("unsharded totals = %d, want %d", want.Totals.Calls, total)
 	}
 	gotByKey := map[string]querystats.EntrySnapshot{}
 	for _, e := range merged.Entries {
@@ -85,8 +103,8 @@ func TestQueryStatsMergeMatchesUnsharded(t *testing.T) {
 		if !ok {
 			t.Fatalf("plan key %q missing from merged stats", key)
 		}
-		if ge.Calls != we.Calls {
-			t.Fatalf("%q: merged calls = %d, want the unsharded store's %d", key, ge.Calls, we.Calls)
+		if ge.Calls != nShards*we.Calls {
+			t.Fatalf("%q: merged calls = %d, want %d shards × %d", key, ge.Calls, nShards, we.Calls)
 		}
 		if ge.VideosEvaluated != we.VideosEvaluated {
 			t.Fatalf("%q: merged videos evaluated = %d, want %d", key, ge.VideosEvaluated, we.VideosEvaluated)
@@ -97,12 +115,12 @@ func TestQueryStatsMergeMatchesUnsharded(t *testing.T) {
 		if ge.Class != we.Class {
 			t.Fatalf("%q: class %q != %q", key, ge.Class, we.Class)
 		}
-		if ge.Latency.Count != we.Latency.Count {
-			t.Fatalf("%q: merged latency count = %d, want %d", key, ge.Latency.Count, we.Latency.Count)
+		if ge.Latency.Count != nShards*we.Latency.Count {
+			t.Fatalf("%q: merged latency count = %d, want %d shards × %d", key, ge.Latency.Count, nShards, we.Latency.Count)
 		}
 	}
-	if merged.Totals.Calls != want.Totals.Calls {
-		t.Fatalf("merged totals = %d, want %d", merged.Totals.Calls, want.Totals.Calls)
+	if merged.Totals.Calls != nShards*want.Totals.Calls {
+		t.Fatalf("merged totals = %d, want %d shards × %d", merged.Totals.Calls, nShards, want.Totals.Calls)
 	}
 	if merged.Evicted != 0 {
 		t.Fatalf("merged evicted = %d, want 0", merged.Evicted)

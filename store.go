@@ -102,7 +102,7 @@ func (s *Store) Add(v *Video) error {
 	if err := s.meta.Add(v); err != nil {
 		return err
 	}
-	s.gen.Add(1)
+	s.bumpGen()
 	return nil
 }
 
@@ -235,6 +235,8 @@ type queryConfig struct {
 	// exactProf turns on exact per-visit time attribution in engines whose
 	// always-on timing is count-based (the reference evaluator).
 	exactProf bool
+	// guard, when set, wraps every video's evaluation (WithVideoGuard).
+	guard func(ctx context.Context, videoID int, eval func(context.Context) error) error
 }
 
 // newQueryConfig applies the options over the defaults.
@@ -276,8 +278,32 @@ func WithParallelism(n int) QueryOption { return func(c *queryConfig) { c.parall
 // WithPartialResults opts into degraded answers: videos that fail to
 // evaluate (including panics contained by the engine) are skipped and their
 // failures reported in Results.Errors, instead of failing the whole query.
-// Cancellation of the query's context still fails the query as a whole.
+// Cancellation of the query's context still fails the query as a whole,
+// unless a video guard is installed (see WithVideoGuard).
 func WithPartialResults() QueryOption { return func(c *queryConfig) { c.partial = true } }
+
+// ErrVideoSkipped is what a video guard returns to decline a video: the
+// video is not evaluated and surfaces as its *VideoError in Results.Errors
+// (under WithPartialResults), counted as skipped rather than failed.
+var ErrVideoSkipped = errors.New("htlvideo: video skipped by its guard")
+
+// WithVideoGuard installs a per-video guard on the query's worker pool: each
+// worker calls guard instead of evaluating its video directly, and guard
+// decides whether and how often to call eval — the hook for a serving
+// layer's per-video circuit breaker and transient-error retry. eval runs the
+// video's evaluation (panics contained) under the context it is given, with
+// the store's per-video spans opened beneath the span that context carries,
+// so a guard can put each attempt under a span of its own. Return nil only
+// after an eval call succeeded; return ErrVideoSkipped to decline the video.
+//
+// A guarded query reports cancellation per video: the query no longer fails
+// as a whole, and each video cancellation cut off — unfinished, or never
+// started — carries the context error in its *VideoError. The guard is not
+// part of the result-cache key; results with any failure or skip are never
+// cached.
+func WithVideoGuard(guard func(ctx context.Context, videoID int, eval func(context.Context) error) error) QueryOption {
+	return func(c *queryConfig) { c.guard = guard }
+}
 
 // AndMode selects the conjunction similarity function.
 type AndMode = core.AndMode
@@ -335,9 +361,10 @@ type Results struct {
 	// PerVideo maps video id to its similarity list over segment ids.
 	PerVideo map[int]SimList
 	// Errors lists per-video failures when the query ran with
-	// WithPartialResults(): one *VideoError per failed video, ordered by
-	// video id. It is empty on fully successful queries; without
-	// WithPartialResults any failure fails the query instead.
+	// WithPartialResults(): one *VideoError per failed video (or video its
+	// guard skipped, wrapping ErrVideoSkipped), ordered by video id. It is
+	// empty on fully successful queries; without WithPartialResults any
+	// failure fails the query instead.
 	Errors []error
 
 	// obs reports top-k pruning back to the originating store's counters;
@@ -346,6 +373,20 @@ type Results struct {
 	// from already-evaluated lists (NewResults).
 	obs     *storeObs
 	planKey string
+}
+
+// cutOff reports whether cancellation cut any video of a guarded query off
+// (nil-safe).
+func (r *Results) cutOff() bool {
+	if r == nil {
+		return false
+	}
+	for _, err := range r.Errors {
+		if ctxErr(err) {
+			return true
+		}
+	}
+	return false
 }
 
 // NewResults wraps already-evaluated per-video similarity lists in a Results
@@ -540,16 +581,24 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 					vsp := evalStage.StartSpan("video")
 					vsp.SetTag("video", strconv.Itoa(v.ID))
 					start := time.Now()
-					l, err := s.queryVideoIsolated(obs.ContextWithSpan(ctx, vsp), v, cq, cfg)
+					l, err := s.guardedVideo(obs.ContextWithSpan(ctx, vsp), v, cq, cfg)
 					elapsed := time.Since(start)
 					vsp.End()
 					o.poolInFlight.Dec()
-					o.videoLat.Observe(elapsed)
 					resMu.Lock()
-					if err != nil {
+					switch {
+					case errors.Is(err, ErrVideoSkipped):
+						o.videosSkipped.Inc()
+						if cfg.rec != nil {
+							cfg.rec.VideosSkipped++
+						}
+						errs = append(errs, &VideoError{VideoID: v.ID, Elapsed: elapsed, Err: err})
+					case err != nil:
+						o.videoLat.Observe(elapsed)
 						o.videosFailed.Inc()
 						errs = append(errs, &VideoError{VideoID: v.ID, Elapsed: elapsed, Err: err})
-					} else {
+					default:
+						o.videoLat.Observe(elapsed)
 						o.videosEvaluated.Inc()
 						res.PerVideo[v.ID] = l
 					}
@@ -573,8 +622,13 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 		// checkpoint interval rather than by a full video evaluation.
 		wg.Wait()
 		// Videos never fed to a worker (cancellation cut the feed short) leave
-		// the queue gauge with the pool.
+		// the queue gauge with the pool; a guarded query reports them.
 		o.poolQueued.Add(int64(fed - len(work)))
+		if cfg.guard != nil {
+			for _, v := range work[fed:] {
+				errs = append(errs, &VideoError{VideoID: v.ID, Err: ctx.Err()})
+			}
+		}
 	})
 	evalStage.End()
 	// Fold the profile's memo hits into the registry so explain output and
@@ -592,7 +646,7 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 		o.planReorders.Inc()
 	}
 
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil && cfg.guard == nil {
 		return nil, fmt.Errorf("htlvideo: query aborted: %w", err)
 	}
 	merge := tr.StartSpan("merge")
@@ -605,6 +659,19 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	}
 	res.Errors = errs
 	return res, nil
+}
+
+// guardedVideo evaluates one video, through the query's guard when it has
+// one.
+func (s *Store) guardedVideo(ctx context.Context, v *Video, cq *CompiledQuery, cfg *queryConfig) (l SimList, err error) {
+	if cfg.guard == nil {
+		return s.queryVideoIsolated(ctx, v, cq, cfg)
+	}
+	err = cfg.guard(ctx, v.ID, func(ctx context.Context) (err error) {
+		l, err = s.queryVideoIsolated(ctx, v, cq, cfg)
+		return err
+	})
+	return l, err
 }
 
 // queryVideoIsolated evaluates one video, containing panics so a poisoned

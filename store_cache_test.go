@@ -141,6 +141,103 @@ func TestResultCacheHitInvalidationOnAdd(t *testing.T) {
 	}
 }
 
+// TestResultCachePurgedOnAdd: a generation bump — an in-memory Add or a
+// durable store's WAL-first Add — empties the result cache, so no stale
+// entry holds capacity; the repeated query then misses once and hits again.
+func TestResultCachePurgedOnAdd(t *testing.T) {
+	durable, err := OpenDurable(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { durable.Close() })
+	for id := 1; id <= 2; id++ {
+		if err := durable.Add(guardClip(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, s := range map[string]*Store{"memory": resilienceStore(t, 2), "durable": durable} {
+		t.Run(name, func(t *testing.T) {
+			s.EnableResultCache(ResultCacheConfig{Capacity: 16})
+			for _, q := range []string{"M1", "M1 until M2"} {
+				if _, err := s.Query(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := s.Stats().ResultCache.Size; got != 2 {
+				t.Fatalf("size = %d before Add, want 2", got)
+			}
+			if err := s.Add(guardClip(9)); err != nil {
+				t.Fatal(err)
+			}
+			rc := s.results.Load()
+			if got := s.Stats().ResultCache.Size; got != 0 || rc.lru.Len() != 0 || rc.lru.Weight() != 0 {
+				t.Fatalf("after Add: size gauge %d, entries %d, weight %d; want an empty cache",
+					got, rc.lru.Len(), rc.lru.Weight())
+			}
+			before := s.Stats().ResultCache
+			for i := 0; i < 2; i++ {
+				if _, err := s.Query("M1"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := s.Stats().ResultCache
+			if after.Misses-before.Misses != 1 || after.Hits-before.Hits != 1 {
+				t.Fatalf("repeat after Add: %d misses, %d hits; want 1 and 1",
+					after.Misses-before.Misses, after.Hits-before.Hits)
+			}
+		})
+	}
+}
+
+// TestResultCacheDropsStaleGeneration: a result whose evaluation began before
+// a generation bump is not inserted after the bump's purge.
+func TestResultCacheDropsStaleGeneration(t *testing.T) {
+	s := resilienceStore(t, 1)
+	s.EnableResultCache(ResultCacheConfig{Capacity: 16})
+	rc := s.results.Load()
+	gen := s.gen.Load()
+	_, fl, leader := rc.lookup("k")
+	if !leader {
+		t.Fatal("a cold lookup did not lead its flight")
+	}
+	if err := s.Add(guardClip(2)); err != nil {
+		t.Fatal(err)
+	}
+	rc.finish("k", gen, fl, &Results{}, nil, true)
+	if rc.lru.Len() != 0 {
+		t.Fatal("a result from an older generation was cached after the purge")
+	}
+}
+
+// TestResultCacheWeighsPerVideoLists: an entry weighs its non-empty per-video
+// lists (at least 1), so the capacity bounds cached lists, not queries.
+func TestResultCacheWeighsPerVideoLists(t *testing.T) {
+	s := resilienceStore(t, 3)
+	s.EnableResultCache(ResultCacheConfig{Capacity: 4})
+	rc := s.results.Load()
+	if _, err := s.Query("M1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rc.lru.Weight(); got != 3 {
+		t.Fatalf("weight = %d after a 3-video result, want 3", got)
+	}
+	if _, err := s.Query("M3"); err != nil { // matches nothing: weighs 1
+		t.Fatal(err)
+	}
+	if got, n := rc.lru.Weight(), rc.lru.Len(); got != 4 || n != 2 {
+		t.Fatalf("weight %d over %d entries, want 4 over 2", got, n)
+	}
+	if _, err := s.Query("M2"); err != nil { // 3 more lists: M1's entry goes
+		t.Fatal(err)
+	}
+	if got, n := rc.lru.Weight(), rc.lru.Len(); got != 4 || n != 2 {
+		t.Fatalf("weight %d over %d entries, want 4 over 2", got, n)
+	}
+	if ev := s.Stats().ResultCache.Evicted; ev != 1 {
+		t.Fatalf("evicted = %d, want 1", ev)
+	}
+}
+
 // TestResultCacheSingleflight: N concurrent identical queries against a cold
 // cache collapse onto one evaluation; everyone gets an answer, exactly one
 // paid for it. Meaningful under -race.

@@ -353,7 +353,7 @@ func (s *Store) applyWALRecord(payload []byte) error {
 		if err := s.meta.Add(v); err != nil {
 			return err
 		}
-		s.gen.Add(1)
+		s.bumpGen()
 		return nil
 	default:
 		return fmt.Errorf("unknown record op %q", rec.Op)
@@ -404,7 +404,7 @@ func (s *Store) durableAdd(v *Video) error {
 	if err := s.meta.Add(v); err != nil {
 		return fmt.Errorf("htlvideo: applying committed video %d: %w", v.ID, err)
 	}
-	s.gen.Add(1)
+	s.bumpGen()
 	o := s.obs
 	o.walSeq.Set(int64(d.seq))
 	o.walSize.Set(d.w.Size())
